@@ -267,10 +267,32 @@ pub struct ServiceInput {
 
 impl ServiceInput {
     /// Push samples (never blocks). `unreliable`, when given, carries
-    /// per-sample front-end confidence flags. Returns how many queued
-    /// samples this push overwrote.
+    /// per-sample front-end confidence flags. Non-finite samples (NaN or
+    /// ±Inf) enter the ring as zeros flagged unreliable: one would
+    /// otherwise poison the preamble fit, training and DFE metrics of the
+    /// whole frame, where a flagged zero only costs erasures. Returns how
+    /// many queued samples this push overwrote.
+    ///
+    /// # Panics
+    /// Panics if `unreliable` and `samples` differ in length.
     pub fn push(&self, samples: &[C64], unreliable: Option<&[bool]>) -> u64 {
-        let lost = self.ring.push(samples, unreliable);
+        let lost = if samples.iter().all(|z| z.is_finite()) {
+            self.ring.push(samples, unreliable)
+        } else {
+            if let Some(m) = unreliable {
+                assert_eq!(m.len(), samples.len(), "push: mask length mismatch");
+            }
+            let clean: Vec<C64> = samples
+                .iter()
+                .map(|&z| if z.is_finite() { z } else { C64::new(0.0, 0.0) })
+                .collect();
+            let mask: Vec<bool> = samples
+                .iter()
+                .enumerate()
+                .map(|(i, z)| !z.is_finite() || unreliable.is_some_and(|m| m[i]))
+                .collect();
+            self.ring.push(&clean, Some(&mask))
+        };
         telemetry::counter_add("service.samples.in", samples.len() as u64);
         if lost > 0 {
             telemetry::counter_add("service.samples.lost", lost);

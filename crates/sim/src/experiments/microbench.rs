@@ -7,7 +7,11 @@
 //! airtime so the pipeline never falls behind.
 
 use crate::power::PowerModel;
-use retroturbo_core::{Modulator, PhyConfig, Receiver, TagModel};
+use retroturbo_core::preamble::correct;
+use retroturbo_core::{
+    Equalizer, Modulator, OfflineTraining, OnlineTrainer, PhyConfig, PreambleDetector, Receiver,
+    TagModel,
+};
 use retroturbo_dsp::Signal;
 use retroturbo_lcm::LcParams;
 use std::time::Instant;
@@ -39,8 +43,31 @@ pub struct LatencyReport {
     pub real_time: bool,
 }
 
+/// Timed calls per stage; each stage reports the median call.
+const STAGE_REPS: usize = 15;
+
+/// Median wall-clock seconds of [`STAGE_REPS`] calls of `f` (after one
+/// untimed warm-up call).
+fn median_call_s<T>(mut f: impl FnMut() -> T) -> f64 {
+    std::hint::black_box(f());
+    let mut t: Vec<f64> = (0..STAGE_REPS)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(f());
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    t.sort_by(f64::total_cmp);
+    t[STAGE_REPS / 2]
+}
+
 /// Measure the latency breakdown of transmitting and receiving one
-/// `payload_bytes` packet at `cfg`.
+/// `payload_bytes` packet at `cfg`. Each processing stage is timed on its
+/// own, as the median of repeated calls: preamble search over the poll
+/// window ([`Receiver::detect_preamble`]), online training of the
+/// preamble-corrected frame ([`OnlineTrainer::train`]), and DFE
+/// demodulation of the payload against the trained model
+/// ([`Equalizer::equalize`]).
 pub fn latency_report(
     label: &str,
     cfg: PhyConfig,
@@ -51,6 +78,14 @@ pub fn latency_report(
     let modulator = Modulator::new(cfg);
     let model = TagModel::nominal(&cfg, &params);
     let receiver = Receiver::new(cfg, &params, 3);
+    let offline = OfflineTraining::collect(
+        &cfg,
+        &params,
+        &OfflineTraining::default_variants(&params),
+        3,
+    );
+    let trainer = OnlineTrainer::new(cfg, &offline);
+    let eq = Equalizer::new(cfg);
 
     use rand::rngs::StdRng;
     use rand::Rng;
@@ -60,48 +95,33 @@ pub fn latency_report(
     let frame = modulator.modulate(&bits);
     let wave = model.render_levels(&frame.levels);
     let sig = Signal::new(wave, cfg.fs);
+    let spt = cfg.samples_per_slot();
 
     // Detection over a realistic ±poll window.
-    let t0 = Instant::now();
-    let _ = receiver.receive_window(&sig, 0, 2 * cfg.samples_per_slot(), bits.len());
-    let total = t0.elapsed().as_secs_f64();
+    let detect_cpu = median_call_s(|| receiver.detect_preamble(&sig, 0, 2 * spt));
 
-    // Isolate training and demod by timing reduced pipelines.
-    let t1 = Instant::now();
-    let mut rx_no_train = Receiver::new(cfg, &params, 3);
-    rx_no_train.online_training = false;
-    let build = t1.elapsed();
-    let _ = build;
-    let t2 = Instant::now();
-    let _ = rx_no_train.receive_at(&sig, 0, bits.len());
-    let no_train = t2.elapsed().as_secs_f64();
+    // Training and demodulation see what the receiver hands them: the
+    // frame corrected by the preamble fit at the detected offset.
+    let offset = receiver
+        .detect_preamble(&sig, 0, 2 * spt)
+        .map_or(0, |(off, _)| off);
+    let fit = PreambleDetector::new(&cfg, &model)
+        .fit_at(&sig, offset)
+        .expect("latency_report: frame shorter than the preamble")
+        .fit;
+    let end = (offset + (frame.payload_start() + frame.payload_slots) * spt).min(sig.len());
+    let corrected = correct(&fit, &sig.samples()[offset..end]);
+    let train_cpu = median_call_s(|| trainer.train(&corrected));
 
-    // Demod-only estimate: equalizer run alone.
-    let eq = retroturbo_core::Equalizer::new(cfg);
+    let trained = trainer.train(&corrected);
     let known = &frame.levels[..frame.payload_start()];
-    let t3 = Instant::now();
-    let _ = eq.equalize(
-        &sig.samples()[..(frame.payload_start() + frame.payload_slots) * cfg.samples_per_slot()],
-        &model,
-        known,
-        frame.payload_slots,
-    );
-    let demod = t3.elapsed().as_secs_f64();
+    let demod = median_call_s(|| eq.equalize(&corrected, &trained, known, frame.payload_slots));
 
-    let train_cpu = (total - no_train).max(0.0);
-    let detect_cpu = (no_train - demod).max(0.0);
     let payload_air = frame.payload_slots as f64 * cfg.t_slot;
+    let training_slots = cfg.training_rounds * cfg.l_order;
     // Per-stage throughput in symbols (slots) processed per CPU second; the
     // receiver keeps real time when each stage's throughput exceeds the
     // on-air symbol rate 1/t_slot.
-    let per_s = |n_slots: usize, cpu_s: f64| {
-        if cpu_s > 0.0 {
-            n_slots as f64 / cpu_s
-        } else {
-            f64::INFINITY // stage too fast to resolve against the timer
-        }
-    };
-    let training_slots = cfg.training_rounds * cfg.l_order;
     LatencyReport {
         label: label.into(),
         preamble_air_s: cfg.preamble_slots as f64 * cfg.t_slot,
@@ -110,9 +130,9 @@ pub fn latency_report(
         detect_cpu_s: detect_cpu,
         train_cpu_s: train_cpu,
         demod_cpu_s: demod,
-        detect_sym_per_s: per_s(cfg.preamble_slots, detect_cpu),
-        train_sym_per_s: per_s(training_slots, train_cpu),
-        demod_sym_per_s: per_s(frame.payload_slots, demod),
+        detect_sym_per_s: cfg.preamble_slots as f64 / detect_cpu,
+        train_sym_per_s: training_slots as f64 / train_cpu,
+        demod_sym_per_s: frame.payload_slots as f64 / demod,
         real_time: demod < payload_air,
     }
 }
@@ -155,7 +175,21 @@ mod tests {
         cfg.training_rounds = 4;
         let r = latency_report("8kbps-lite", cfg, 16, 1);
         assert!(r.preamble_air_s > 0.0 && r.training_air_s > 0.0 && r.payload_air_s > 0.0);
-        assert!(r.demod_cpu_s > 0.0);
+        // Every stage is timed on its own, so none may read zero.
+        for (stage, t) in [
+            ("detect", r.detect_cpu_s),
+            ("train", r.train_cpu_s),
+            ("demod", r.demod_cpu_s),
+        ] {
+            assert!(t > 0.0, "{stage} time not positive: {t}");
+        }
+        for (stage, v) in [
+            ("detect", r.detect_sym_per_s),
+            ("train", r.train_sym_per_s),
+            ("demod", r.demod_sym_per_s),
+        ] {
+            assert!(v.is_finite() && v > 0.0, "{stage} sym/s not finite: {v}");
+        }
         // Release-mode demod is comfortably real-time; in debug builds this
         // is not guaranteed, so only check the airtime arithmetic here.
         assert!((r.payload_air_s - 32.0 * 0.5e-3).abs() < 1e-9);

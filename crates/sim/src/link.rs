@@ -121,8 +121,7 @@ impl LinkSimulator {
 
     /// Replace the kernel backend on the tag ODE kernel and every receiver
     /// stage (default: [`Backend::detect`], overridable process-wide via
-    /// `RETROTURBO_BACKEND`). `Scalar`/`Simd` are bit-identical; `F32` is
-    /// the reduced-precision sweep tier.
+    /// `RETROTURBO_BACKEND`). `Scalar` and `Simd` are bit-identical.
     pub fn with_backend(mut self, bk: Backend) -> Self {
         self.backend = bk;
         self.receiver = self.receiver.with_backend(bk);
@@ -155,12 +154,6 @@ impl LinkSimulator {
     /// The configuration in use.
     pub fn config(&self) -> &PhyConfig {
         &self.cfg
-    }
-
-    /// The kernel backend in use (for cache keys: the `F32` tier renders
-    /// different waveform bits than the bit-identical f64 tiers).
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Fingerprint of everything that shapes this simulator's *clean*

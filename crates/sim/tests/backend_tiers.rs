@@ -1,11 +1,8 @@
-//! End-to-end contracts of the backend tiers (DESIGN.md §13).
+//! End-to-end contract of the backend tiers (DESIGN.md §13).
 //!
 //! The Simd tier must be bit-identical to Scalar through the whole link —
 //! same received waveform bits, same decode outcomes — across the same
-//! scene matrix the fused/reference differential uses. The F32 tier is
-//! allowed to move individual samples, so its gate is statistical: the
-//! measured BER along a fig16a-shaped distance cut must stay within an
-//! absolute delta bound of the scalar tier's BER at every point.
+//! scene matrix the fused/reference differential uses.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,40 +83,5 @@ fn simd_tier_bit_identical_across_scenes() {
             assert_eq!(os.bits, ov.bits, "{name}: bits");
             assert_eq!(os.snr_db.to_bits(), ov.snr_db.to_bits(), "{name}: snr_db");
         }
-    }
-}
-
-/// F32 tier BER-delta gate: along a fig16a-shaped distance cut, the F32
-/// tier's measured BER may differ from Scalar's by at most 0.02 absolute
-/// at every point. The bound is the tier's accuracy contract — the number
-/// quoted in DESIGN.md §13 — chosen with headroom over the measured worst
-/// case so the reduced-precision tier can never silently change a curve's
-/// shape (cliff location, error-floor height) beyond plotting resolution.
-#[test]
-fn f32_tier_ber_delta_within_bound_fig16a() {
-    let n_packets = 12;
-    let payload_bytes = 16;
-    for &d in &[4.0, 7.5, 9.0, 10.5] {
-        let mut sim_s = LinkSimulator::new(
-            PhyConfig::default_8kbps(),
-            LinkBudget::fov10(),
-            Scene::default_at(d),
-            7,
-        )
-        .with_backend(Backend::Scalar);
-        let mut sim_f = LinkSimulator::new(
-            PhyConfig::default_8kbps(),
-            LinkBudget::fov10(),
-            Scene::default_at(d),
-            7,
-        )
-        .with_backend(Backend::F32);
-        let ber_s = sim_s.run_ber(n_packets, payload_bytes);
-        let ber_f = sim_f.run_ber(n_packets, payload_bytes);
-        let delta = (ber_s - ber_f).abs();
-        assert!(
-            delta <= 0.02,
-            "d={d}m: |BER_f32 - BER_scalar| = {delta:.4} (scalar {ber_s:.4}, f32 {ber_f:.4}) exceeds 0.02"
-        );
     }
 }
