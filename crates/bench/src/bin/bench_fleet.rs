@@ -21,8 +21,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use retroturbo_bench::banner;
-use retroturbo_dsp::backend;
+use retroturbo_bench::{banner, meta_json};
 use retroturbo_runtime::with_threads;
 use retroturbo_sim::fleet::{run_fleet, FleetConfig, FleetReport};
 
@@ -71,25 +70,10 @@ fn main() {
         .map(|&n| run_size(n, sessions))
         .collect();
 
-    let mut json = String::from("{\n  \"meta\": {\n");
-    json.push_str(&format!(
-        "    \"default_backend\": \"{}\",\n",
-        retroturbo_dsp::Backend::detect().label()
-    ));
-    json.push_str(&format!(
-        "    \"simd_available\": {},\n",
-        backend::simd_available()
-    ));
-    json.push_str("    \"cpu_features\": {");
-    let feats = backend::cpu_features();
-    for (i, (name, on)) in feats.iter().enumerate() {
-        json.push_str(&format!(
-            "\"{name}\": {on}{}",
-            if i + 1 < feats.len() { ", " } else { "" }
-        ));
-    }
-    json.push_str("},\n");
-    json.push_str(&format!("    \"quick\": {quick}\n  }},\n  \"fleet\": [\n"));
+    let mut json = format!(
+        "{{\n{},\n  \"fleet\": [\n",
+        meta_json(retroturbo_dsp::Backend::detect().label(), quick)
+    );
     for (i, r) in rows.iter().enumerate() {
         let rep = &r.report;
         json.push_str(&format!(

@@ -27,7 +27,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use retroturbo_bench::banner;
+use retroturbo_bench::{banner, meta_json};
 use retroturbo_coding::RsCode;
 use retroturbo_core::training::{OfflineTraining, OnlineTrainer};
 use retroturbo_core::{Equalizer, Modulator, PhyConfig, PreambleDetector, TagModel};
@@ -650,45 +650,29 @@ fn main() {
         }
     }
 
-    // --- Packet pipeline: fused allocation-free vs allocating reference ---
+    // --- Packet pipeline: fused allocation-free path, gated by its oracles --
     let sim = LinkSimulator::new(cfg, LinkBudget::fov10(), Scene::default_at(3.0), 9);
     let mut scratch = sim.make_scratch();
     let pkt_bytes = if quick { 8 } else { 32 };
     let pkt_bits: Vec<bool> = (0..pkt_bytes * 8).map(|i| (i * 13) % 5 < 2).collect();
     {
-        // Waveform-level checksum (decode equality follows from it) plus
-        // outcome equality.
+        // Waveform checksum against the reference synthesis, and outcome
+        // equality against the end-to-end scalar oracle.
         let fused_sig = sim.synth_rx(&mut scratch, &pkt_bits, 1);
         let ref_sig = sim.synth_rx_reference(&pkt_bits, 1);
         if checksum_c64(fused_sig.samples()) != checksum_c64(ref_sig.samples()) {
             diverged.push("packet_waveform".into());
         }
         scratch.give_back(fused_sig.into_samples());
-        let of = sim.run_packet_with(&mut scratch, &pkt_bits, 2);
-        let or = sim.run_packet_reference(&pkt_bits, 2);
+        let of = sim.run_packet(&mut scratch, &pkt_bits, 2);
+        let or = sim.run_packet_scalar_reference(&pkt_bits, 2);
         if (of.bit_errors, of.bits, of.detected) != (or.bit_errors, or.bits, or.detected) {
             diverged.push("packet_outcome".into());
         }
     }
     let pkt_syms = (pkt_bits.len() / cfg.bits_per_symbol()) as f64;
-    let (pkt_ref, pkt_fused) = time_pair_ns(
-        1,
-        reps,
-        || {
-            std::hint::black_box(sim.run_packet_reference(&pkt_bits, 3));
-        },
-        || {
-            std::hint::black_box(sim.run_packet_with(&mut scratch, &pkt_bits, 3));
-        },
-    );
-    records.push(Record {
-        kernel: "run_packet_reference",
-        backend: default_label,
-        ns_per_iter: pkt_ref,
-        ns_per_symbol: Some(pkt_ref / pkt_syms),
-        ns_per_point: None,
-        threads: 1,
-        speedup: 1.0,
+    let pkt_fused = time_ns(1, reps, || {
+        std::hint::black_box(sim.run_packet(&mut scratch, &pkt_bits, 3));
     });
     records.push(Record {
         kernel: "run_packet_fused",
@@ -697,13 +681,13 @@ fn main() {
         ns_per_symbol: Some(pkt_fused / pkt_syms),
         ns_per_point: None,
         threads: 1,
-        speedup: pkt_ref / pkt_fused,
+        speedup: 1.0,
     });
 
     // --- Packet pipeline: explicit backend tiers --------------------------
     // Fresh simulators per tier (`with_backend` rewires the receiver and the
     // panel scratch factory); the scalar `sim` above is the baseline.
-    let o_scalar = sim.run_packet_with(&mut scratch, &pkt_bits, 2);
+    let o_scalar = sim.run_packet(&mut scratch, &pkt_bits, 2);
     if simd_rows {
         let sim_v = LinkSimulator::new(cfg, LinkBudget::fov10(), Scene::default_at(3.0), 9)
             .with_backend(Backend::Simd);
@@ -715,7 +699,7 @@ fn main() {
         }
         scr_v.give_back(sv.into_samples());
         scratch.give_back(ss.into_samples());
-        let ov = sim_v.run_packet_with(&mut scr_v, &pkt_bits, 2);
+        let ov = sim_v.run_packet(&mut scr_v, &pkt_bits, 2);
         if (ov.bit_errors, ov.bits, ov.detected)
             != (o_scalar.bit_errors, o_scalar.bits, o_scalar.detected)
         {
@@ -725,10 +709,10 @@ fn main() {
             1,
             reps,
             || {
-                std::hint::black_box(sim.run_packet_with(&mut scratch, &pkt_bits, 3));
+                std::hint::black_box(sim.run_packet(&mut scratch, &pkt_bits, 3));
             },
             || {
-                std::hint::black_box(sim_v.run_packet_with(&mut scr_v, &pkt_bits, 3));
+                std::hint::black_box(sim_v.run_packet(&mut scr_v, &pkt_bits, 3));
             },
         );
         records.push(Record {
@@ -919,21 +903,10 @@ fn main() {
     // `{"meta": {...}, "kernels": [...]}`: the meta block records which
     // backend the legacy rows ran on and what the host CPU offered, so
     // archived baselines from different hosts/legs stay attributable.
-    let mut json = String::from("{\n  \"meta\": {\n");
-    json.push_str(&format!("    \"default_backend\": \"{default_label}\",\n"));
-    json.push_str(&format!("    \"simd_available\": {simd_rows},\n"));
-    json.push_str("    \"cpu_features\": {");
-    let feats = backend::cpu_features();
-    for (i, (name, on)) in feats.iter().enumerate() {
-        json.push_str(&format!(
-            "\"{name}\": {on}{}",
-            if i + 1 < feats.len() { ", " } else { "" }
-        ));
-    }
-    json.push_str("},\n");
-    json.push_str(&format!(
-        "    \"quick\": {quick}\n  }},\n  \"kernels\": [\n"
-    ));
+    let mut json = format!(
+        "{{\n{},\n  \"kernels\": [\n",
+        meta_json(default_label, quick)
+    );
     for (i, r) in records.iter().enumerate() {
         let per_sym = match r.ns_per_symbol {
             Some(v) => format!("{v:.1}"),

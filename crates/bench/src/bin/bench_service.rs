@@ -28,8 +28,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use retroturbo_bench::banner;
-use retroturbo_dsp::backend;
+use retroturbo_bench::{banner, meta_json};
 use retroturbo_mac::CodingChoice;
 use retroturbo_service::{loopback_phy, DecodeService, ServiceEvent, ServiceStats, Testbed};
 
@@ -148,27 +147,10 @@ fn main() {
     }
     rows.push(run_scenario("overload", &bed, frames, 2, Some(2)));
 
-    let mut json = String::from("{\n  \"meta\": {\n");
-    json.push_str(&format!(
-        "    \"default_backend\": \"{}\",\n",
-        retroturbo_dsp::Backend::detect().label()
-    ));
-    json.push_str(&format!(
-        "    \"simd_available\": {},\n",
-        backend::simd_available()
-    ));
-    json.push_str("    \"cpu_features\": {");
-    let feats = backend::cpu_features();
-    for (i, (name, on)) in feats.iter().enumerate() {
-        json.push_str(&format!(
-            "\"{name}\": {on}{}",
-            if i + 1 < feats.len() { ", " } else { "" }
-        ));
-    }
-    json.push_str("},\n");
-    json.push_str(&format!(
-        "    \"quick\": {quick}\n  }},\n  \"service\": [\n"
-    ));
+    let mut json = format!(
+        "{{\n{},\n  \"service\": [\n",
+        meta_json(retroturbo_dsp::Backend::detect().label(), quick)
+    );
     for (i, r) in rows.iter().enumerate() {
         let s = &r.stats;
         let depths = |q: &retroturbo_service::QueueDepth| {

@@ -21,7 +21,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use retroturbo_bench::banner;
+use retroturbo_bench::{banner, meta_json};
 use retroturbo_core::PhyConfig;
 use retroturbo_dsp::{backend, Backend};
 use retroturbo_sim::experiments::Effort;
@@ -278,31 +278,10 @@ fn main() {
     }
 
     // --- Emit ------------------------------------------------------------
-    // Same `{"meta": {...}, "sweeps": [...]}` provenance shape as
-    // `BENCH_kernels.json`, so archived runs stay attributable to a backend
-    // and host feature set.
-    let mut json = String::from("{\n  \"meta\": {\n");
-    json.push_str(&format!(
-        "    \"default_backend\": \"{}\",\n",
-        forced.label()
-    ));
-    json.push_str(&format!(
-        "    \"simd_available\": {},\n",
-        backend::simd_available()
-    ));
-    json.push_str("    \"cpu_features\": {");
-    let feats = backend::cpu_features();
-    for (i, (fname, on)) in feats.iter().enumerate() {
-        json.push_str(&format!(
-            "\"{fname}\": {on}{}",
-            if i + 1 < feats.len() { ", " } else { "" }
-        ));
-    }
-    json.push_str("},\n");
-    json.push_str(&format!(
-        "    \"quick\": {}\n  }},\n  \"sweeps\": [\n",
-        Effort::from_env() != Effort::Full
-    ));
+    let mut json = format!(
+        "{{\n{},\n  \"sweeps\": [\n",
+        meta_json(forced.label(), Effort::from_env() != Effort::Full)
+    );
     for (i, r) in records.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"sweep\": \"{}\", \"mode\": \"{}\", \"threads\": {}, \"points\": {}, \"ms_total\": {:.1}, \"ns_per_point\": {:.0}, \"speedup\": {:.3}}}{}\n",

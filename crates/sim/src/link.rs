@@ -5,10 +5,17 @@
 //! scene's rotation/yaw/ambient/mobility distortions, the fitted link
 //! budget's SNR, and the complete receive pipeline including preamble
 //! search, online training and the K-branch DFE.
+//!
+//! Every packet is built by one synthesis body ([`LinkSimulator::synth_rx`]
+//! and [`LinkSimulator::synth_rx_renoise`] are thin wrappers over it) and
+//! scored by one decode step. The live and the cached (§7.3 re-noise) paths
+//! differ only in where the clean wave and the unit-variance normals come
+//! from. [`LinkSimulator::run_packet_scalar_reference`] is the one
+//! end-to-end scalar oracle.
 
 use crate::link_budget::LinkBudget;
 use crate::scene::Scene;
-use retroturbo_core::{Modulator, PhyConfig, Receiver, RxError};
+use retroturbo_core::{Modulator, PhyConfig, Receiver, RxError, RxResult};
 use retroturbo_dsp::noise::{sigma_for_snr, NoiseSource};
 use retroturbo_dsp::{Backend, Signal, C64};
 use retroturbo_lcm::{Heterogeneity, LcParams, Panel, PanelKernel};
@@ -17,6 +24,9 @@ use retroturbo_optics::retro::{yaw_pixel_skew, Retroreflector};
 /// Leading rest-level samples before the frame (the reader's poll-response
 /// guard interval).
 const PAD: usize = 60;
+
+/// Offline training bases S the receiver retains.
+const OFFLINE_BASES: usize = 3;
 
 /// Outcome of one simulated packet.
 #[derive(Debug, Clone, Copy)]
@@ -31,13 +41,38 @@ pub struct PacketOutcome {
     pub snr_db: f64,
 }
 
-impl PacketOutcome {
-    /// Packet BER: `bit_errors / bits`. An undetected packet has
-    /// `bit_errors == bits` by construction (`run_packet` counts every
-    /// payload bit as errored when the preamble is missed), so its BER is
-    /// 1.0 without any special case here.
-    pub fn ber(&self) -> f64 {
+/// Payload-bit totals over a run of packets, summed as integers in packet
+/// order so the one final division is bit-identical however the outcomes
+/// were produced (live, re-noised or scalar oracle).
+#[derive(Default)]
+pub(crate) struct BerTally {
+    packets: u64,
+    bits: usize,
+    bit_errors: usize,
+}
+
+impl FromIterator<PacketOutcome> for BerTally {
+    fn from_iter<I: IntoIterator<Item = PacketOutcome>>(outcomes: I) -> Self {
+        outcomes.into_iter().fold(Self::default(), |t, o| Self {
+            packets: t.packets + 1,
+            bits: t.bits + o.bits,
+            bit_errors: t.bit_errors + o.bit_errors,
+        })
+    }
+}
+
+impl BerTally {
+    /// Aggregate BER: total bit errors over total payload bits.
+    pub(crate) fn ber(&self) -> f64 {
         self.bit_errors as f64 / self.bits.max(1) as f64
+    }
+
+    /// Publish the `sweep.packets` / `sweep.payload_bits` /
+    /// `sweep.bit_errors` counters.
+    pub(crate) fn publish(&self) {
+        retroturbo_telemetry::counter_add("sweep.packets", self.packets);
+        retroturbo_telemetry::counter_add("sweep.payload_bits", self.bits as u64);
+        retroturbo_telemetry::counter_add("sweep.bit_errors", self.bit_errors as u64);
     }
 }
 
@@ -52,12 +87,27 @@ pub struct PacketScratch {
 }
 
 impl PacketScratch {
-    /// Return a buffer (taken by [`LinkSimulator::synth_rx`] into the
-    /// produced [`Signal`]) so the next packet reuses its capacity.
+    /// Return a buffer (taken by [`LinkSimulator::synth_rx`] or
+    /// [`LinkSimulator::synth_rx_renoise`] into the produced [`Signal`]) so
+    /// the next packet reuses its capacity.
     #[doc(hidden)]
     pub fn give_back(&mut self, buf: Vec<C64>) {
         self.rx = buf;
     }
+}
+
+/// What the synthesis body starts from.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// Render the payload through the panel kernel and draw fresh normals
+    /// from the packet's [`NoiseSource`] stream.
+    Live(&'a [bool]),
+    /// A cached clean render ([`LinkSimulator::render_clean`]) and its
+    /// cached unit-variance normals ([`LinkSimulator::packet_unit_noise`]).
+    Cached {
+        clean: &'a [C64],
+        unit_noise: &'a [C64],
+    },
 }
 
 /// End-to-end link simulator for one tag–reader pair.
@@ -70,10 +120,6 @@ pub struct LinkSimulator {
     receiver: Receiver,
     pristine_panel: Panel,
     seed: u64,
-    last_offset: Option<usize>,
-    last_symbols: Vec<retroturbo_core::PqamSymbol>,
-    /// Lazily-built scratch reused by the single-packet entry points.
-    scratch: Option<PacketScratch>,
     /// Kernel backend for the panel ODE and the receiver stages.
     backend: Backend,
 }
@@ -82,12 +128,6 @@ impl LinkSimulator {
     /// Build the simulator. `seed` fixes both the tag's manufacturing
     /// heterogeneity and the noise streams.
     pub fn new(cfg: PhyConfig, budget: LinkBudget, scene: Scene, seed: u64) -> Self {
-        Self::with_s(cfg, budget, scene, seed, 3)
-    }
-
-    /// Like [`Self::new`] with an explicit number of retained offline
-    /// training bases S.
-    pub fn with_s(cfg: PhyConfig, budget: LinkBudget, scene: Scene, seed: u64, s: usize) -> Self {
         cfg.validate();
         let params = LcParams::default();
         let mut panel = Panel::retroturbo(
@@ -109,12 +149,9 @@ impl LinkSimulator {
             scene,
             retro: Retroreflector::default(),
             modulator: Modulator::new(cfg),
-            receiver: Receiver::new_cached(cfg, &params, s),
+            receiver: Receiver::new_cached(cfg, &params, OFFLINE_BASES),
             pristine_panel: panel,
             seed,
-            last_offset: None,
-            last_symbols: Vec::new(),
-            scratch: None,
             backend: Backend::detect(),
         }
     }
@@ -125,7 +162,6 @@ impl LinkSimulator {
     pub fn with_backend(mut self, bk: Backend) -> Self {
         self.backend = bk;
         self.receiver = self.receiver.with_backend(bk);
-        self.scratch = None; // rebuilt lazily with the new backend
         self
     }
 
@@ -190,7 +226,7 @@ impl LinkSimulator {
         (0..payload_bytes * 8).map(|_| rng.gen()).collect()
     }
 
-    /// Build a per-worker scratch for [`Self::run_packet_with`] (the panel
+    /// Build a per-worker scratch for [`Self::run_packet`] (the panel
     /// kernel snapshot plus the reusable channel buffer).
     pub fn make_scratch(&self) -> PacketScratch {
         PacketScratch {
@@ -199,37 +235,49 @@ impl LinkSimulator {
         }
     }
 
-    /// Simulate one packet of `bits` payload bits; `pkt_seed` varies noise
-    /// and data across packets.
-    pub fn run_packet(&mut self, bits: &[bool], pkt_seed: u64) -> PacketOutcome {
-        let mut scratch = self.scratch.take().unwrap_or_else(|| self.make_scratch());
-        let (outcome, offset, symbols) = self.run_packet_core(&mut scratch, bits, pkt_seed);
-        self.scratch = Some(scratch);
-        self.last_offset = offset;
-        self.last_symbols = symbols;
-        outcome
-    }
-
-    /// Simulate one packet using caller-provided scratch — the fused,
-    /// allocation-free pipeline [`Self::run_ber`] fans out across workers.
-    pub fn run_packet_with(
+    /// Simulate one packet of `bits` payload bits with caller-provided
+    /// scratch — the fused, allocation-free pipeline [`Self::run_ber`] fans
+    /// out across workers. `pkt_seed` varies noise and data across packets.
+    pub fn run_packet(
         &self,
         scratch: &mut PacketScratch,
         bits: &[bool],
         pkt_seed: u64,
     ) -> PacketOutcome {
-        self.run_packet_core(scratch, bits, pkt_seed).0
+        self.run(scratch, Source::Live(bits), bits, pkt_seed)
     }
 
-    /// The original per-packet pipeline: clone the pristine panel, run the
-    /// scalar reference ODE loop, build the channel waveform in fresh
-    /// allocations. Retained as the differential-testing oracle and the
-    /// "before" side of the packet benchmarks; bit-identical to
-    /// [`Self::run_packet_with`].
-    pub fn run_packet_reference(&self, bits: &[bool], pkt_seed: u64) -> PacketOutcome {
-        let snr_db = self.effective_snr_db();
+    /// One packet decoded from a cached clean render + cached unit noise:
+    /// the sweep engine's per-point fast path. Bit-identical to
+    /// [`Self::run_packet`] when `clean == render_clean(bits)` and
+    /// `unit_noise == packet_unit_noise(clean.len(), pkt_seed)`.
+    pub fn run_packet_renoise(
+        &self,
+        scratch: &mut PacketScratch,
+        clean: &[C64],
+        unit_noise: &[C64],
+        bits: &[bool],
+        pkt_seed: u64,
+    ) -> PacketOutcome {
+        self.run(
+            scratch,
+            Source::Cached { clean, unit_noise },
+            bits,
+            pkt_seed,
+        )
+    }
+
+    /// One packet through the end-to-end *scalar* pipeline: the allocating
+    /// reference ODE synthesis ([`Self::synth_rx_reference`]) decoded by the
+    /// all-reference-kernel receiver path
+    /// ([`Receiver::receive_window_reference`]). No cache, no fused loops,
+    /// no precomputed Grams — the one end-to-end oracle of [`Self::run_packet`]
+    /// and the sweep engine's no-cache [`crate::sweep::workloads::FieldOracle::Scalar`]
+    /// path, kept bit-identical in its decisions to the production path by
+    /// the kernel pairs' own differential tests.
+    pub fn run_packet_scalar_reference(&self, bits: &[bool], pkt_seed: u64) -> PacketOutcome {
         let sig = self.synth_rx_reference(bits, pkt_seed);
-        self.decode(&sig, bits, snr_db).0
+        self.decode(&sig, bits, Receiver::receive_window_reference)
     }
 
     /// Synthesize one packet's received signal (tag ODE → channel → noise)
@@ -239,67 +287,30 @@ impl LinkSimulator {
     /// `scratch.rx` is already frame-sized.
     #[doc(hidden)]
     pub fn synth_rx(&self, scratch: &mut PacketScratch, bits: &[bool], pkt_seed: u64) -> Signal {
-        let cfg = &self.cfg;
-        let spt = cfg.samples_per_slot();
-        let snr_db = self.effective_snr_db();
-
-        let frame = self.modulator.modulate(bits);
-        let cmds = frame.drive_commands(cfg);
-        let n_wave = frame.total_slots() * spt;
-
-        scratch.rx.resize(PAD + n_wave, C64::default());
-        scratch.rx[..PAD].fill(self.rest_level());
-
-        // Tag side: snapshot/restore instead of cloning the pristine panel;
-        // the waveform lands straight in the channel buffer.
-        scratch.kernel.restore();
-        scratch
-            .kernel
-            .simulate_into(&cmds, cfg.fs, &mut scratch.rx[PAD..]);
-
-        self.apply_channel(&mut scratch.rx[PAD..], pkt_seed);
-        let mut sig = Signal::new(std::mem::take(&mut scratch.rx), cfg.fs);
-        self.add_channel_noise(&mut sig, snr_db, pkt_seed);
-        sig
+        self.synth(scratch, Source::Live(bits), pkt_seed)
     }
 
-    /// Rest-level sample filling the guard interval before the frame.
-    #[inline]
-    fn rest_level(&self) -> C64 {
-        let roll_rot = C64::cis(2.0 * self.scene.orientation.roll);
-        // Normalized amplitude after path loss; absolute scale is arbitrary
-        // post-AGC, but applying a gain exercises the scale correction.
-        roll_rot * C64::new(-1.0, -1.0) * 0.5
+    /// [`Self::synth_rx`] from a cached clean render and cached unit-noise
+    /// stream: re-applies the per-point channel (pad, roll, flutter, gain)
+    /// and superimposes the per-point σ on the cached normals instead of
+    /// re-integrating the ODE and re-drawing the RNG. Bit-identical to
+    /// [`Self::synth_rx`] for matching `(render, noise, pkt_seed)`.
+    #[doc(hidden)]
+    pub fn synth_rx_renoise(
+        &self,
+        scratch: &mut PacketScratch,
+        clean: &[C64],
+        unit_noise: &[C64],
+        pkt_seed: u64,
+    ) -> Signal {
+        self.synth(scratch, Source::Cached { clean, unit_noise }, pkt_seed)
     }
 
-    /// Deterministic channel distortion applied to the clean ODE waveform in
-    /// place (identical operand order to the reference's push loop:
-    /// roll_rot · z · (amp · flutter)). Shared by the fused synthesis and
-    /// the cached-render re-noise path so they cannot drift apart.
-    fn apply_channel(&self, wave: &mut [C64], pkt_seed: u64) {
-        let roll_rot = C64::cis(2.0 * self.scene.orientation.roll);
-        let amp = 0.5;
-        let (flut_amp, flut_rate) = self.scene.mobility.flutter();
-        if flut_amp == 0.0 {
-            // Static scene: `1.0 + 0.0·sin(·) == 1.0` and `amp·1.0 == amp`
-            // exactly, so skipping the per-sample sine is bit-identical.
-            for z in wave.iter_mut() {
-                *z = roll_rot * *z * amp;
-            }
-        } else {
-            for (i, z) in wave.iter_mut().enumerate() {
-                let t = i as f64 / self.cfg.fs;
-                let flutter = 1.0
-                    + flut_amp
-                        * (2.0 * std::f64::consts::PI * flut_rate * t + (pkt_seed % 17) as f64)
-                            .sin();
-                *z = roll_rot * *z * (amp * flutter);
-            }
-        }
-    }
-
-    /// Oracle for [`Self::synth_rx`]: the original allocating formulation
-    /// through `Panel::simulate_reference`.
+    /// Oracle for [`Self::synth_rx`]: the original allocating formulation —
+    /// panel clone, `Panel::simulate_reference`, a push loop for pad and
+    /// channel, and `NoiseSource::add_awgn` at σ. It deliberately shares no
+    /// step with the synthesis body, so the differential tests pin the
+    /// body's in-place channel and σ·unit-normal noise against it.
     #[doc(hidden)]
     pub fn synth_rx_reference(&self, bits: &[bool], pkt_seed: u64) -> Signal {
         let cfg = &self.cfg;
@@ -325,25 +336,18 @@ impl LinkSimulator {
                     * (2.0 * std::f64::consts::PI * flut_rate * t + (pkt_seed % 17) as f64).sin();
             samples.push(roll_rot * z * (amp * flutter));
         }
-        let mut sig = Signal::new(samples, cfg.fs);
-        self.add_channel_noise(&mut sig, snr_db, pkt_seed);
-        sig
-    }
 
-    /// Shared noise tail of both synthesis paths.
-    fn add_channel_noise(&self, sig: &mut Signal, snr_db: f64, pkt_seed: u64) {
-        let cfg = &self.cfg;
+        // --- Noise. ---
+        let mut sig = Signal::new(samples, cfg.fs);
         if snr_db.is_finite() {
-            let sigma = sigma_for_snr(snr_db, 0.5).hypot(self.scene.ambient.residual_noise_sigma());
-            let mut ns =
-                NoiseSource::new(self.seed.wrapping_mul(0x9E37_79B9).wrapping_add(pkt_seed));
-            ns.add_awgn(sig.samples_mut(), sigma);
+            self.noise_source(pkt_seed)
+                .add_awgn(sig.samples_mut(), self.noise_sigma(snr_db));
         } else {
-            // Beyond the retro cutoff: nothing comes back but noise.
             let mut ns = NoiseSource::new(pkt_seed);
-            *sig = Signal::zeros(sig.len(), cfg.fs);
+            sig = Signal::zeros(sig.len(), cfg.fs);
             ns.add_awgn(sig.samples_mut(), 0.05);
         }
+        sig
     }
 
     /// Render one packet's *clean* tag-side waveform (the ODE output before
@@ -352,194 +356,162 @@ impl LinkSimulator {
     /// quantity — it depends only on [`Self::render_fingerprint`] and the
     /// payload, never on SNR, distance, roll, ambient light or mobility.
     pub fn render_clean(&self, scratch: &mut PacketScratch, bits: &[bool]) -> Vec<C64> {
-        let frame = self.modulator.modulate(bits);
-        let cmds = frame.drive_commands(&self.cfg);
-        let mut wave = vec![C64::default(); frame.total_slots() * self.cfg.samples_per_slot()];
-        scratch.kernel.restore();
-        scratch.kernel.simulate_into(&cmds, self.cfg.fs, &mut wave);
+        let mut wave = Vec::new();
+        self.render_into(&mut scratch.kernel, bits, &mut wave, 0);
         wave
     }
 
     /// The unit-variance complex noise stream packet `pkt_seed` sees over a
-    /// signal of `PAD + n_wave` samples — the same samples
-    /// [`Self::add_channel_noise`] would draw, pre-scaled by σ = 1 so a
-    /// cached stream can be re-scaled to any per-point σ bit-identically
-    /// (`n·1.0 == n` exactly, and `(n·1.0)·σ == n·σ`).
+    /// signal of `PAD + n_wave` samples — the same normals [`Self::synth_rx`]
+    /// draws, at σ = 1 so a cached stream can be re-scaled to any per-point σ
+    /// bit-identically (`n·1.0 == n` exactly, and `(n·1.0)·σ == n·σ`).
     pub fn packet_unit_noise(&self, n_wave: usize, pkt_seed: u64) -> Vec<C64> {
-        let mut ns = NoiseSource::new(self.seed.wrapping_mul(0x9E37_79B9).wrapping_add(pkt_seed));
+        let mut ns = self.noise_source(pkt_seed);
         (0..PAD + n_wave)
             .map(|_| ns.complex_gaussian(1.0))
             .collect()
     }
 
-    /// [`Self::synth_rx`] from a cached clean render and cached unit-noise
-    /// stream: re-applies the per-point channel (pad, roll, flutter, gain)
-    /// and superimposes the per-point σ on the cached normals instead of
-    /// re-integrating the ODE and re-drawing the RNG. Bit-identical to
-    /// [`Self::synth_rx`] for matching `(render, noise, pkt_seed)`.
-    #[doc(hidden)]
-    pub fn synth_rx_renoise(
-        &self,
-        scratch: &mut PacketScratch,
-        clean: &[C64],
-        unit_noise: &[C64],
-        pkt_seed: u64,
-    ) -> Signal {
-        let cfg = &self.cfg;
+    /// The one synthesis body behind [`Self::synth_rx`] and
+    /// [`Self::synth_rx_renoise`]:
+    /// 1. size the channel buffer and write the guard pad;
+    /// 2. render the clean wave in place, or copy the cached render;
+    /// 3. apply the channel ([`Self::apply_channel`]);
+    /// 4. add σ·unit normals, drawn fresh or read from the cached stream;
+    /// 5. beyond the retro cutoff (−inf SNR), replace all of it with
+    ///    noise only.
+    fn synth(&self, scratch: &mut PacketScratch, src: Source<'_>, pkt_seed: u64) -> Signal {
         let snr_db = self.effective_snr_db();
-        scratch.rx.resize(PAD + clean.len(), C64::default());
-        scratch.rx[..PAD].fill(self.rest_level());
-        scratch.rx[PAD..].copy_from_slice(clean);
-        self.apply_channel(&mut scratch.rx[PAD..], pkt_seed);
-        let mut sig = Signal::new(std::mem::take(&mut scratch.rx), cfg.fs);
+        match src {
+            Source::Live(bits) => self.render_into(&mut scratch.kernel, bits, &mut scratch.rx, PAD),
+            Source::Cached { clean, .. } => {
+                scratch.rx.resize(PAD + clean.len(), C64::default());
+                scratch.rx[PAD..].copy_from_slice(clean);
+            }
+        }
+        let rx = &mut scratch.rx[..];
+        rx[..PAD].fill(self.rest_level());
+        self.apply_channel(&mut rx[PAD..], pkt_seed);
         if snr_db.is_finite() {
-            debug_assert_eq!(unit_noise.len(), sig.len(), "unit-noise length mismatch");
-            let sigma = sigma_for_snr(snr_db, 0.5).hypot(self.scene.ambient.residual_noise_sigma());
-            for (z, n) in sig.samples_mut().iter_mut().zip(unit_noise) {
-                *z += C64::new(n.re * sigma, n.im * sigma);
+            let sigma = self.noise_sigma(snr_db);
+            match src {
+                Source::Live(_) => {
+                    let mut ns = self.noise_source(pkt_seed);
+                    add_sigma_normals(
+                        rx,
+                        std::iter::repeat_with(|| ns.complex_gaussian(1.0)),
+                        sigma,
+                    );
+                }
+                Source::Cached { unit_noise, .. } => {
+                    debug_assert_eq!(unit_noise.len(), rx.len(), "unit-noise length mismatch");
+                    add_sigma_normals(rx, unit_noise.iter().copied(), sigma);
+                }
             }
         } else {
-            // Beyond the retro cutoff the cached render contributes nothing;
-            // replicate the live path's noise-only signal exactly.
-            let mut ns = NoiseSource::new(pkt_seed);
-            sig = Signal::zeros(sig.len(), cfg.fs);
-            ns.add_awgn(sig.samples_mut(), 0.05);
+            // Beyond the retro cutoff: nothing comes back but noise.
+            rx.fill(C64::default());
+            NoiseSource::new(pkt_seed).add_awgn(rx, 0.05);
         }
-        sig
+        Signal::new(std::mem::take(&mut scratch.rx), self.cfg.fs)
     }
 
-    /// One packet decoded from a cached clean render + cached unit noise:
-    /// the sweep engine's per-point fast path. Bit-identical to
-    /// [`Self::run_packet_with`] when `clean == render_clean(bits)` and
-    /// `unit_noise == packet_unit_noise(clean.len(), pkt_seed)`.
-    pub fn run_packet_renoise(
+    /// Render the clean tag waveform of `bits` into `buf[at..]` (resizing
+    /// `buf` to fit) by snapshot/restore of the panel kernel — no panel
+    /// clone, no allocation when `buf` is already frame-sized.
+    fn render_into(&self, kernel: &mut PanelKernel, bits: &[bool], buf: &mut Vec<C64>, at: usize) {
+        let frame = self.modulator.modulate(bits);
+        let cmds = frame.drive_commands(&self.cfg);
+        buf.resize(
+            at + frame.total_slots() * self.cfg.samples_per_slot(),
+            C64::default(),
+        );
+        kernel.restore();
+        kernel.simulate_into(&cmds, self.cfg.fs, &mut buf[at..]);
+    }
+
+    /// Rest-level sample filling the guard interval before the frame.
+    #[inline]
+    fn rest_level(&self) -> C64 {
+        let roll_rot = C64::cis(2.0 * self.scene.orientation.roll);
+        // Normalized amplitude after path loss; absolute scale is arbitrary
+        // post-AGC, but applying a gain exercises the scale correction.
+        roll_rot * C64::new(-1.0, -1.0) * 0.5
+    }
+
+    /// Deterministic channel distortion applied to the clean ODE waveform in
+    /// place (identical operand order to the reference's push loop:
+    /// roll_rot · z · (amp · flutter)).
+    fn apply_channel(&self, wave: &mut [C64], pkt_seed: u64) {
+        let roll_rot = C64::cis(2.0 * self.scene.orientation.roll);
+        let amp = 0.5;
+        let (flut_amp, flut_rate) = self.scene.mobility.flutter();
+        if flut_amp == 0.0 {
+            // Static scene: `1.0 + 0.0·sin(·) == 1.0` and `amp·1.0 == amp`
+            // exactly, so skipping the per-sample sine is bit-identical.
+            for z in wave.iter_mut() {
+                *z = roll_rot * *z * amp;
+            }
+        } else {
+            for (i, z) in wave.iter_mut().enumerate() {
+                let t = i as f64 / self.cfg.fs;
+                let flutter = 1.0
+                    + flut_amp
+                        * (2.0 * std::f64::consts::PI * flut_rate * t + (pkt_seed % 17) as f64)
+                            .sin();
+                *z = roll_rot * *z * (amp * flutter);
+            }
+        }
+    }
+
+    /// Per-component noise deviation at a finite effective SNR: the link
+    /// budget's σ combined with the ambient light's residual noise.
+    fn noise_sigma(&self, snr_db: f64) -> f64 {
+        sigma_for_snr(snr_db, 0.5).hypot(self.scene.ambient.residual_noise_sigma())
+    }
+
+    /// The packet's noise stream (finite-SNR branch).
+    fn noise_source(&self, pkt_seed: u64) -> NoiseSource {
+        NoiseSource::new(self.seed.wrapping_mul(0x9E37_79B9).wrapping_add(pkt_seed))
+    }
+
+    /// Synthesize, decode with the production receiver, and hand the
+    /// channel buffer back to the scratch for the next packet.
+    fn run(
         &self,
         scratch: &mut PacketScratch,
-        clean: &[C64],
-        unit_noise: &[C64],
+        src: Source<'_>,
         bits: &[bool],
         pkt_seed: u64,
     ) -> PacketOutcome {
-        let snr_db = self.effective_snr_db();
-        let sig = self.synth_rx_renoise(scratch, clean, unit_noise, pkt_seed);
-        let out = self.decode(&sig, bits, snr_db);
-        scratch.rx = sig.into_samples();
-        out.0
-    }
-
-    /// One packet through the end-to-end *scalar* pipeline: the allocating
-    /// reference ODE synthesis ([`Self::synth_rx_reference`]) decoded by the
-    /// all-reference-kernel receiver path
-    /// ([`Receiver::receive_window_reference`]). No cache, no fused loops,
-    /// no precomputed Grams — the sweep engine's no-cache oracle, kept
-    /// bit-identical in its decisions to the production path by the kernel
-    /// pairs' own differential tests.
-    pub fn run_packet_scalar_reference(&self, bits: &[bool], pkt_seed: u64) -> PacketOutcome {
-        let snr_db = self.effective_snr_db();
-        let sig = self.synth_rx_reference(bits, pkt_seed);
-        let spt = self.cfg.samples_per_slot();
-        match self
-            .receiver
-            .receive_window_reference(&sig, 0, PAD + 2 * spt, bits.len())
-        {
-            Ok(r) => PacketOutcome {
-                bit_errors: r.bits.iter().zip(bits).filter(|(a, b)| a != b).count(),
-                bits: bits.len(),
-                detected: true,
-                snr_db,
-            },
-            Err(RxError::NoPreamble) | Err(RxError::Truncated) => PacketOutcome {
-                bit_errors: bits.len(),
-                bits: bits.len(),
-                detected: false,
-                snr_db,
-            },
-        }
-    }
-
-    /// The shareable packet pipeline: tag ODE → channel → receiver. Takes
-    /// `&self` plus explicit scratch so [`Self::run_ber`] can fan packets
-    /// out across worker threads with per-worker buffers.
-    fn run_packet_core(
-        &self,
-        scratch: &mut PacketScratch,
-        bits: &[bool],
-        pkt_seed: u64,
-    ) -> (
-        PacketOutcome,
-        Option<usize>,
-        Vec<retroturbo_core::PqamSymbol>,
-    ) {
-        let snr_db = self.effective_snr_db();
-        let sig = self.synth_rx(scratch, bits, pkt_seed);
-        let out = self.decode(&sig, bits, snr_db);
-        // Hand the channel buffer back to the scratch for the next packet.
+        let sig = self.synth(scratch, src, pkt_seed);
+        let out = self.decode(&sig, bits, Receiver::receive_window);
         scratch.rx = sig.into_samples();
         out
     }
 
-    /// Reader side: search near the known poll time and score the decode.
+    /// Reader side: search near the known poll time with `receive` (the
+    /// production or the reference receiver window) and score the decode.
     fn decode(
         &self,
         sig: &Signal,
         bits: &[bool],
-        snr_db: f64,
-    ) -> (
-        PacketOutcome,
-        Option<usize>,
-        Vec<retroturbo_core::PqamSymbol>,
-    ) {
-        let spt = self.cfg.samples_per_slot();
-        match self
-            .receiver
-            .receive_window(sig, 0, PAD + 2 * spt, bits.len())
-        {
-            Ok(r) => {
-                let errs = r.bits.iter().zip(bits).filter(|(a, b)| a != b).count();
-                (
-                    PacketOutcome {
-                        bit_errors: errs,
-                        bits: bits.len(),
-                        detected: true,
-                        snr_db,
-                    },
-                    Some(r.offset),
-                    r.symbols,
-                )
-            }
-            Err(RxError::NoPreamble) | Err(RxError::Truncated) => (
-                PacketOutcome {
-                    bit_errors: bits.len(),
-                    bits: bits.len(),
-                    detected: false,
-                    snr_db,
-                },
-                None,
-                Vec::new(),
+        receive: impl FnOnce(&Receiver, &Signal, usize, usize, usize) -> Result<RxResult, RxError>,
+    ) -> PacketOutcome {
+        let search_to = PAD + 2 * self.cfg.samples_per_slot();
+        let (bit_errors, detected) = match receive(&self.receiver, sig, 0, search_to, bits.len()) {
+            Ok(r) => (
+                r.bits.iter().zip(bits).filter(|(a, b)| a != b).count(),
+                true,
             ),
+            Err(RxError::NoPreamble | RxError::Truncated) => (bits.len(), false),
+        };
+        PacketOutcome {
+            bit_errors,
+            bits: bits.len(),
+            detected,
+            snr_db: self.effective_snr_db(),
         }
-    }
-
-    /// Debug helper: run one packet, returning (detected offset, bit errors).
-    #[doc(hidden)]
-    pub fn run_packet_debug(&mut self, bits: &[bool], pkt_seed: u64) -> (Option<usize>, usize) {
-        let o = self.run_packet(bits, pkt_seed);
-        (self.last_offset, o.bit_errors)
-    }
-
-    /// Debug helper: run one packet, returning (offset, bit errors, decided symbols).
-    #[doc(hidden)]
-    pub fn run_packet_symbols(
-        &mut self,
-        bits: &[bool],
-        pkt_seed: u64,
-    ) -> (Option<usize>, usize, Vec<retroturbo_core::PqamSymbol>) {
-        let o = self.run_packet(bits, pkt_seed);
-        (
-            self.last_offset,
-            o.bit_errors,
-            std::mem::take(&mut self.last_symbols),
-        )
     }
 
     /// Run `n_packets` packets of `payload_bytes` random payloads and return
@@ -564,15 +536,21 @@ impl LinkSimulator {
                 // routing through it keeps this loop and the cached-render
                 // sweep path on one payload derivation.
                 let bits = this.packet_bits(payload_bytes, p);
-                this.run_packet_core(scratch, &bits, p).0
+                this.run_packet(scratch, &bits, p)
             },
         );
-        let errs: usize = outcomes.iter().map(|o| o.bit_errors).sum();
-        let total: usize = outcomes.iter().map(|o| o.bits).sum();
-        retroturbo_telemetry::counter_add("sweep.packets", n_packets as u64);
-        retroturbo_telemetry::counter_add("sweep.payload_bits", total as u64);
-        retroturbo_telemetry::counter_add("sweep.bit_errors", errs as u64);
-        errs as f64 / total.max(1) as f64
+        let tally: BerTally = outcomes.into_iter().collect();
+        tally.publish();
+        tally.ber()
+    }
+}
+
+/// Add σ-scaled unit normals to `rx` in place: `z += (n.re·σ, n.im·σ)`,
+/// the same operations `NoiseSource::add_awgn` performs at σ (its draws
+/// are `standard_normal()·σ`, and `n·1.0 == n`).
+fn add_sigma_normals(rx: &mut [C64], unit: impl Iterator<Item = C64>, sigma: f64) {
+    for (z, n) in rx.iter_mut().zip(unit) {
+        *z += C64::new(n.re * sigma, n.im * sigma);
     }
 }
 
@@ -625,25 +603,6 @@ mod tests {
                     );
                 }
                 scratch.give_back(live.into_samples());
-            }
-        }
-    }
-
-    /// The all-scalar pipeline (reference ODE + reference receiver kernels)
-    /// reaches the same per-packet decisions as the fused production path.
-    #[test]
-    fn scalar_reference_packet_matches_fused_outcome() {
-        for dist in [4.0, 8.0] {
-            let sim =
-                LinkSimulator::new(small_cfg(), LinkBudget::fov10(), Scene::default_at(dist), 3);
-            let mut scratch = sim.make_scratch();
-            for p in 0..2u64 {
-                let bits = sim.packet_bits(12, p);
-                let fused = sim.run_packet_with(&mut scratch, &bits, p);
-                let scalar = sim.run_packet_scalar_reference(&bits, p);
-                assert_eq!(fused.bit_errors, scalar.bit_errors, "{dist} m pkt {p}");
-                assert_eq!(fused.detected, scalar.detected, "{dist} m pkt {p}");
-                assert_eq!(fused.snr_db.to_bits(), scalar.snr_db.to_bits());
             }
         }
     }

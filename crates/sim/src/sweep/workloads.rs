@@ -3,7 +3,7 @@
 
 use super::stream::StreamRecord;
 use super::{CleanPacket, GridPoint, SweepWorkload};
-use crate::link::LinkSimulator;
+use crate::link::{BerTally, LinkSimulator};
 use crate::EmulatedLink;
 use retroturbo_core::params::fp_fold;
 use retroturbo_telemetry as telemetry;
@@ -104,40 +104,36 @@ impl<F: Fn(usize, f64) -> LinkSimulator + Sync> SweepWorkload for FieldSweep<F> 
         let snr_db = sim.effective_snr_db();
         let ber = match cached {
             Some(renders) => {
-                // Same packet order, same integer error/total sums as
-                // `run_ber`, so the final division is bit-identical.
+                // Same packet order and the same tally as `run_ber`, so the
+                // BER is bit-identical.
                 let _t = telemetry::span("sweep.run_ber");
                 let mut scratch = sim.make_scratch();
-                let (mut errs, mut total) = (0usize, 0usize);
-                for (pk, cp) in renders.iter().enumerate() {
-                    let _s = telemetry::span("sweep.renoise");
-                    let o = sim.run_packet_renoise(
-                        &mut scratch,
-                        &cp.wave,
-                        &cp.unit_noise,
-                        &cp.bits,
-                        pk as u64,
-                    );
-                    errs += o.bit_errors;
-                    total += o.bits;
-                }
-                telemetry::counter_add("sweep.packets", renders.len() as u64);
-                telemetry::counter_add("sweep.payload_bits", total as u64);
-                telemetry::counter_add("sweep.bit_errors", errs as u64);
-                errs as f64 / total.max(1) as f64
+                let tally: BerTally = renders
+                    .iter()
+                    .enumerate()
+                    .map(|(pk, cp)| {
+                        let _s = telemetry::span("sweep.renoise");
+                        sim.run_packet_renoise(
+                            &mut scratch,
+                            &cp.wave,
+                            &cp.unit_noise,
+                            &cp.bits,
+                            pk as u64,
+                        )
+                    })
+                    .collect();
+                tally.publish();
+                tally.ber()
             }
             None => match self.oracle {
                 FieldOracle::Fused => sim.run_ber(self.n_packets, self.payload_bytes),
-                FieldOracle::Scalar => {
-                    let (mut errs, mut total) = (0usize, 0usize);
-                    for pk in 0..self.n_packets as u64 {
+                FieldOracle::Scalar => (0..self.n_packets as u64)
+                    .map(|pk| {
                         let bits = sim.packet_bits(self.payload_bytes, pk);
-                        let o = sim.run_packet_scalar_reference(&bits, pk);
-                        errs += o.bit_errors;
-                        total += o.bits;
-                    }
-                    errs as f64 / total.max(1) as f64
-                }
+                        sim.run_packet_scalar_reference(&bits, pk)
+                    })
+                    .collect::<BerTally>()
+                    .ber(),
             },
         };
         BerOut { ber, snr_db }

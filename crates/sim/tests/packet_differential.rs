@@ -1,11 +1,12 @@
 //! Differential tests for the fused packet pipeline.
 //!
 //! `LinkSimulator::synth_rx` (snapshot/restore SoA kernel, in-place channel,
-//! reused buffers) must produce a received waveform bit-identical to
-//! `synth_rx_reference` (panel clone, scalar ODE loop, fresh allocations)
-//! across channel conditions. Bit-identical waveforms make identical decode
-//! outcomes trivial, but we assert those too via `run_packet_reference` vs
-//! `run_packet_with`.
+//! σ·unit-normal noise, reused buffers) must produce a received waveform
+//! bit-identical to `synth_rx_reference` (panel clone, scalar ODE loop,
+//! `add_awgn`, fresh allocations) across channel conditions. Decode
+//! outcomes of `run_packet` must match the end-to-end scalar oracle
+//! `run_packet_scalar_reference` (reference synthesis *and* reference
+//! receiver kernels), including at 8 m where packets carry bit errors.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,6 +37,9 @@ fn scenes() -> Vec<(&'static str, Scene)> {
         ("rolled", Scene::default_at(3.0).with_roll(67.0)),
         ("yawed", Scene::default_at(2.0).with_yaw(30.0)),
         ("busy", busy),
+        // Far enough that packets carry bit errors: the outcome comparison
+        // then checks the error count, not just "zero on both sides".
+        ("far", Scene::default_at(8.0)),
         // Yaw past the retro cutoff: infinite-loss branch (pure noise).
         ("cutoff", Scene::default_at(2.0).with_yaw(65.0)),
     ]
@@ -79,20 +83,20 @@ fn synth_rx_bitwise_matches_reference_across_scenes() {
     }
 }
 
-/// Return the signal's buffer to the scratch the way `run_packet_core` does.
+/// Return the signal's buffer to the scratch the way `run_packet` does.
 fn scratch_restore(scratch: &mut PacketScratch, sig: retroturbo_dsp::Signal) {
     scratch.give_back(sig.into_samples());
 }
 
 #[test]
-fn packet_outcomes_match_reference_across_scenes() {
+fn packet_outcomes_match_scalar_reference_across_scenes() {
     for (name, scene) in scenes() {
         let sim = LinkSimulator::new(small_cfg(), LinkBudget::fov10(), scene, 23);
         let mut scratch = sim.make_scratch();
         for pkt_seed in 0..2u64 {
             let bits = random_bits(2000 + pkt_seed, 16 * 8);
-            let fused = sim.run_packet_with(&mut scratch, &bits, pkt_seed);
-            let refr = sim.run_packet_reference(&bits, pkt_seed);
+            let fused = sim.run_packet(&mut scratch, &bits, pkt_seed);
+            let refr = sim.run_packet_scalar_reference(&bits, pkt_seed);
             assert_eq!(fused.detected, refr.detected, "{name}: detected");
             assert_eq!(fused.bit_errors, refr.bit_errors, "{name}: bit_errors");
             assert_eq!(fused.bits, refr.bits, "{name}: bits");

@@ -82,13 +82,15 @@ FLEET_ADVISORY_BOUNDS = {
 
 
 def print_meta(meta):
-    """Render the provenance block shared by both bench JSON files."""
+    """Render the provenance block shared by every bench JSON file."""
     feats = meta.get("cpu_features", {})
     on = [name for name, v in sorted(feats.items()) if v]
     print(
         f"meta: default_backend={meta.get('default_backend', '?')} "
         f"simd_available={meta.get('simd_available', '?')} "
         f"cpu_features=[{', '.join(on) or 'none'}] "
+        f"cores={meta.get('available_parallelism', '?')} "
+        f"git_rev={meta.get('git_rev', '?')} "
         f"quick={meta.get('quick', '?')}"
     )
 
