@@ -18,9 +18,6 @@ pub mod rngs {
     pub struct StdRng {
         pub(crate) s: [u64; 4],
     }
-
-    /// A small fast generator; alias of [`StdRng`] in this subset.
-    pub type SmallRng = StdRng;
 }
 
 use rngs::StdRng;
@@ -90,12 +87,6 @@ impl Standard for f64 {
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
-impl Standard for f32 {
-    #[inline]
-    fn draw(rng: &mut StdRng) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
-    }
-}
 macro_rules! impl_standard_int {
     ($($t:ty),*) => {$(
         impl Standard for $t {
@@ -107,18 +98,6 @@ macro_rules! impl_standard_int {
     )*};
 }
 impl_standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-impl Standard for u128 {
-    #[inline]
-    fn draw(rng: &mut StdRng) -> Self {
-        ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128
-    }
-}
-impl Standard for i128 {
-    #[inline]
-    fn draw(rng: &mut StdRng) -> Self {
-        u128::draw(rng) as i128
-    }
-}
 
 /// Ranges usable with [`Rng::gen_range`].
 pub trait SampleRange {
@@ -185,15 +164,6 @@ impl SampleRange for core::ops::Range<f64> {
         self.start + u * (self.end - self.start)
     }
 }
-impl SampleRange for core::ops::Range<f32> {
-    type Output = f32;
-    #[inline]
-    fn sample(self, rng: &mut StdRng) -> f32 {
-        assert!(self.start < self.end, "gen_range: empty range");
-        let u = f32::draw(rng);
-        self.start + u * (self.end - self.start)
-    }
-}
 
 /// The user-facing generator trait (mirrors `rand::Rng`).
 pub trait Rng {
@@ -222,7 +192,7 @@ impl Rng for StdRng {
 
 /// Prelude mirroring `rand::prelude`.
 pub mod prelude {
-    pub use crate::rngs::{SmallRng, StdRng};
+    pub use crate::rngs::StdRng;
     pub use crate::{Rng, SeedableRng};
 }
 

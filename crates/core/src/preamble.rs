@@ -136,7 +136,8 @@ impl PreambleDetector {
     /// Fit the widely-linear map for a frame starting at `offset` (the
     /// match window itself sits `skip` samples later); returns the
     /// correction and the detection score. `None` if the window runs past
-    /// the signal or is degenerate (zero variance).
+    /// the signal, is degenerate (zero variance) or holds a non-finite
+    /// sample.
     ///
     /// Uses the Gram precomputed in [`Self::new`]; on both tiers this is
     /// bit-identical to [`Self::fit_at_reference`] (differential-tested).
@@ -158,14 +159,18 @@ impl PreambleDetector {
         fit_fn: impl Fn(&[C64]) -> WidelyLinearFit,
     ) -> Option<PreambleMatch> {
         let k = self.reference.len();
-        if offset + self.skip + k > rx.len() {
+        if rx.len().saturating_sub(offset) < self.skip + k {
             return None;
         }
         let x = &rx.samples()[offset + self.skip..offset + self.skip + k];
         let fit = fit_fn(x);
         let mean: C64 = x.iter().copied().sum::<C64>() / k as f64;
         let var: f64 = x.iter().map(|&z| (z - mean).norm_sqr()).sum();
-        if var < 1e-300 {
+        let score = fit.residual / var;
+        // A non-finite sample makes the score NaN, which would win the
+        // scan's first comparison and then lose none: such a window fits
+        // nothing, like a degenerate one.
+        if !(var >= 1e-300 && score.is_finite()) {
             return None;
         }
         Some(PreambleMatch {
@@ -175,7 +180,7 @@ impl PreambleDetector {
                 beta: fit.b,
                 gamma: fit.c,
             },
-            score: fit.residual / var,
+            score,
         })
     }
 

@@ -130,8 +130,8 @@ pub fn bucket_of(v: f64) -> u8 {
     if v <= 0.0 || v.is_nan() {
         return 0;
     }
-    let e = v.log2().floor() as i64;
-    (e + 32).clamp(1, 63) as u8
+    // Clamp in f64: `+inf` (and any `log2` past i64) must not overflow.
+    (v.log2().floor() + 32.0).clamp(1.0, 63.0) as u8
 }
 
 /// Inclusive lower bound of a bucket produced by [`bucket_of`]
@@ -559,6 +559,7 @@ mod tests {
         assert_eq!(bucket_of(0.5), 31);
         assert_eq!(bucket_of(1e-300), 1);
         assert_eq!(bucket_of(1e300), 63);
+        assert_eq!(bucket_of(f64::INFINITY), 63);
         let mut prev = 0u8;
         for e in -40..40 {
             let b = bucket_of((e as f64).exp2());
